@@ -31,7 +31,9 @@
 //! divergent history, ops lost to a degraded disk — the primary answers
 //! [`ReplFrame::Resync`] instead of silently skipping records: the
 //! follower resets its store to an empty image (keeping its fencing
-//! epoch) and re-bootstraps from sequence zero.
+//! epoch) and re-bootstraps from sequence zero. Only a node that ships
+//! (`--repl-listen`) or follows (`--replica-of`) keeps a log; a plain
+//! daemon's stays empty and unattached.
 //!
 //! # Fencing
 //!
@@ -80,6 +82,7 @@
 //! instead.
 
 use super::protocol::{read_frame, read_frame_deadline, write_frame};
+use super::server::accept_until_stopped;
 use super::store::{Appended, SessionOp, SessionStore};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -94,8 +97,8 @@ use std::time::{Duration, Instant};
 /// protocol's version).
 pub const REPL_PROTOCOL_VERSION: u32 = 1;
 
-/// Poll tick for the replication threads: how quickly shutdown,
-/// new records, and link loss are observed.
+/// Poll tick for the replication links: how quickly shutdown, new
+/// records, and link loss are observed (the acceptor blocks instead).
 const REPL_POLL: Duration = Duration::from_millis(10);
 
 /// A primary sends a heartbeat after this long without records, so a
@@ -501,8 +504,8 @@ impl ReplLog {
 }
 
 /// Shared replication state: the log, the fencing epoch, and the node's
-/// current role. Present (and inert) even when replication is disabled,
-/// so the serving loop has one code path.
+/// current role. Present (and inert, with an empty log) even when
+/// replication is disabled, so the serving loop has one code path.
 #[derive(Debug)]
 pub struct ReplState {
     /// The logical op stream (see [`ReplLog`]).
@@ -526,17 +529,25 @@ pub struct ReplState {
 }
 
 impl ReplState {
-    /// Builds the node's replication state over its store: the log is
-    /// seeded from the store's surviving ops and attached so every
-    /// subsequent append flows into it.
+    /// Builds the node's replication state over its store. A node that
+    /// ships or follows (`replicated`) seeds its log from the store's
+    /// surviving ops and attaches it so every subsequent append flows
+    /// into it; any other node keeps an empty, unattached log, since no
+    /// follower can ever read it.
     pub fn new(
         store: Arc<SessionStore>,
         follower: bool,
+        replicated: bool,
         ack: AckMode,
         ack_timeout_ms: u64,
     ) -> Arc<ReplState> {
-        let log = Arc::new(ReplLog::preloaded(store.replication_image()));
-        store.attach_repl(Arc::clone(&log));
+        let log = if replicated {
+            let log = Arc::new(ReplLog::preloaded(store.replication_image()));
+            store.attach_repl(Arc::clone(&log));
+            log
+        } else {
+            Arc::new(ReplLog::new())
+        };
         Arc::new(ReplState {
             log,
             epoch: AtomicU64::new(store.epoch()),
@@ -693,31 +704,21 @@ impl ReplState {
 // ---------------------------------------------------------------------
 
 /// Accepts follower connections and spawns one shipper per follower.
-/// Runs until `running` flips false.
+/// Runs until `running` flips false (the daemon's stop routine wakes the
+/// blocked accept).
 pub fn run_repl_acceptor(
     listener: TcpListener,
     repl: Arc<ReplState>,
     running: Arc<AtomicBool>,
     fingerprint: u64,
 ) {
-    let mut shippers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while running.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let repl = Arc::clone(&repl);
-                let running = Arc::clone(&running);
-                shippers.push(std::thread::spawn(move || {
-                    run_shipper(stream, &repl, &running, fingerprint);
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(REPL_POLL);
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-        shippers.retain(|s| !s.is_finished());
-    }
+    // A failed accept ends the acceptor; its shippers still run until
+    // the daemon stops.
+    let (shippers, _ended) = accept_until_stopped(&listener, &running, |stream| {
+        let repl = Arc::clone(&repl);
+        let running = Arc::clone(&running);
+        std::thread::spawn(move || run_shipper(stream, &repl, &running, fingerprint))
+    });
     for shipper in shippers {
         let _ = shipper.join();
     }
@@ -974,10 +975,7 @@ fn follow_once(
         };
     }
     let have = repl.log.tail();
-    let have_hash = repl
-        .log
-        .prefix_hash(have)
-        .unwrap_or(LINEAGE_HASH_SEED);
+    let have_hash = repl.log.prefix_hash(have).unwrap_or(LINEAGE_HASH_SEED);
     if write_frame(
         &mut stream,
         &ReplFrame::Hello {
@@ -1263,7 +1261,11 @@ mod tests {
             log.append(1, SessionOp::Opened);
         }
         for n in 0..=3u64 {
-            assert_eq!(a.prefix_hash(n), b.prefix_hash(n), "identical streams at {n}");
+            assert_eq!(
+                a.prefix_hash(n),
+                b.prefix_hash(n),
+                "identical streams at {n}"
+            );
         }
         // Diverge: same length, different content → different hashes.
         a.append(0, ask(2));
@@ -1286,8 +1288,7 @@ mod tests {
         let incremental = ReplLog::new();
         incremental.append(3, SessionOp::Opened);
         incremental.append(3, SessionOp::Closed);
-        let preloaded =
-            ReplLog::preloaded(vec![(3, SessionOp::Opened), (3, SessionOp::Closed)]);
+        let preloaded = ReplLog::preloaded(vec![(3, SessionOp::Opened), (3, SessionOp::Closed)]);
         assert_eq!(incremental.prefix_hash(2), preloaded.prefix_hash(2));
         preloaded.reset();
         assert_eq!(preloaded.tail(), 0);
@@ -1300,7 +1301,7 @@ mod tests {
         let store = Arc::new(
             SessionStore::open(None, super::super::store::StoreOptions::new(0)).expect("store"),
         );
-        let repl = ReplState::new(Arc::clone(&store), false, AckMode::Quorum, 40);
+        let repl = ReplState::new(Arc::clone(&store), false, true, AckMode::Quorum, 40);
         let running = AtomicBool::new(true);
 
         // First gated response with zero followers: stalls one full ack
@@ -1327,7 +1328,11 @@ mod tests {
         repl.log.ack(f, repl.log.tail());
         repl.quorum_gate(repl.log.tail(), &running);
         assert!(!repl.ack_degraded(), "a connected follower re-arms gating");
-        assert_eq!(repl.ack_timeouts(), 2, "a satisfied quorum is not a timeout");
+        assert_eq!(
+            repl.ack_timeouts(),
+            2,
+            "a satisfied quorum is not a timeout"
+        );
     }
 
     #[test]

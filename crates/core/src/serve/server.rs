@@ -22,12 +22,18 @@
 //!   [`SessionStore`], so a SIGKILL costs at most the in-flight round
 //!   and a restart replays every session bit-identically.
 //!
+//! The accept loop blocks in `accept` — no poll, no sleep — so a
+//! connection is served the moment it arrives. The replication acceptor
+//! (`--repl-listen`) runs the same loop.
+//!
 //! Graceful shutdown: a `Shutdown` request (or
-//! [`ServerHandle::shutdown`]) closes the admission gate and flips the
-//! running flag; the accept loop stops, live connections notice within
-//! one socket-poll interval, finish their in-flight request, send
-//! `ShuttingDown`, and drain; the store syncs; `serve` returns the final
-//! [`ServeSummary`].
+//! [`ServerHandle::shutdown`]) runs the one stop routine: it closes the
+//! admission gate, flips the running flag, and wakes each blocked accept
+//! with a loopback connection, which the woken loop drops unserved. Live
+//! connections notice within one read-timeout interval, finish their
+//! in-flight request, send `ShuttingDown`, and drain; the store syncs;
+//! `serve` returns the final [`ServeSummary`]. [`ServerHandle::abort`]
+//! runs the same routine without the farewells.
 
 use super::admission::{AdmissionConfig, AdmissionGate, AdmissionSnapshot};
 use super::diskfault::DiskFaultConfig;
@@ -43,14 +49,21 @@ use crate::session::{Session, SessionEvent};
 use fisql_llm::{Embedding, FallibleLanguageModel, FaultyBackend, LlmConfig, Resilient, SimLlm};
 use fisql_spider::{build_aep, AepConfig, Corpus, Example};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Socket poll interval: how quickly idle connections and the accept
-/// loop observe shutdown.
+/// Read timeout on client connections: how quickly an idle connection
+/// observes a drain. The accept loops do not poll; the stop routine
+/// wakes them.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Longest the stop routine waits for one wake-up connection. Loopback
+/// connects complete at once; one that does not means the listener's
+/// backlog is full, so its accept is not blocked anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// Final serve-loop report.
 #[derive(Debug, Clone, Default)]
@@ -99,19 +112,100 @@ struct ConnCtx {
     assistant: Assistant,
     store: Arc<SessionStore>,
     gate: Arc<AdmissionGate>,
-    running: Arc<AtomicBool>,
-    aborted: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     repl: Arc<ReplState>,
     counters: Arc<ServerCounters>,
     started: Instant,
 }
 
+/// The daemon's run state and its one stop routine, shared by the
+/// [`ServerHandle`], every connection (admin `Shutdown`), and the accept
+/// loops it wakes.
+struct Stop {
+    running: Arc<AtomicBool>,
+    aborted: AtomicBool,
+    gate: Arc<AdmissionGate>,
+    /// One loopback address per bound listener (client port, then the
+    /// replication channel): connecting there wakes a blocked accept.
+    wake: Vec<SocketAddr>,
+}
+
+impl Stop {
+    /// Closes the admission gate, marks an abort, flips `running`, and
+    /// — on the first stop only — wakes every blocked accept loop.
+    /// Idempotent.
+    fn stop(&self, abort: bool) {
+        if abort {
+            self.aborted.store(true, Ordering::Release);
+        }
+        self.gate.close();
+        if self.running.swap(false, Ordering::AcqRel) {
+            for addr in &self.wake {
+                // The woken loop re-checks `running` and drops this
+                // connection unserved.
+                let _ = TcpStream::connect_timeout(addr, WAKE_TIMEOUT);
+            }
+        }
+    }
+
+    fn running(&self) -> bool {
+        self.running.load(Ordering::Acquire)
+    }
+
+    fn aborted(&self) -> bool {
+        self.aborted.load(Ordering::Acquire)
+    }
+}
+
+/// Where to connect to reach a listener bound at `addr`: an unspecified
+/// bind (`0.0.0.0`, `::`) maps to the loopback address of its family.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    addr
+}
+
+/// The one accept loop, shared by the client listener and the
+/// replication acceptor. `accept` blocks; after every accept the loop
+/// re-checks `running`, so the stop routine's wake-up connection — or
+/// any connection that lands after the stop — is dropped unserved, just
+/// like one still in the backlog. `serve` spawns one thread per accepted
+/// connection. Returns the still-running threads (for the caller to
+/// join) and why the loop ended: `Ok` on a stop, the error on a failed
+/// accept.
+pub(super) fn accept_until_stopped(
+    listener: &TcpListener,
+    running: &AtomicBool,
+    mut serve: impl FnMut(TcpStream) -> JoinHandle<()>,
+) -> (Vec<JoinHandle<()>>, io::Result<()>) {
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    let ended = loop {
+        let accepted = listener.accept();
+        if !running.load(Ordering::Acquire) {
+            break Ok(());
+        }
+        match accepted {
+            Ok((stream, _peer)) => threads.push(serve(stream)),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                ) => {}
+            Err(e) => break Err(e),
+        }
+        threads.retain(|t| !t.is_finished());
+    };
+    (threads, ended)
+}
+
 /// A handle for stopping a serving daemon from another thread.
 #[derive(Clone)]
 pub struct ServerHandle {
-    running: Arc<AtomicBool>,
-    aborted: Arc<AtomicBool>,
-    gate: Arc<AdmissionGate>,
+    stop: Arc<Stop>,
     repl: Arc<ReplState>,
     addr: SocketAddr,
 }
@@ -119,8 +213,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Begins a graceful shutdown (idempotent).
     pub fn shutdown(&self) {
-        self.gate.close();
-        self.running.store(false, Ordering::Release);
+        self.stop.stop(false);
     }
 
     /// Kills the daemon without farewell: no `ShuttingDown` frames, no
@@ -130,9 +223,7 @@ impl ServerHandle {
     /// primary kill; the store is NOT synced beyond what write-ahead
     /// appends already flushed.
     pub fn abort(&self) {
-        self.aborted.store(true, Ordering::Release);
-        self.gate.close();
-        self.running.store(false, Ordering::Release);
+        self.stop.stop(true);
     }
 
     /// The daemon's replication state (role, epoch, log) — the failover
@@ -157,8 +248,7 @@ pub struct Server {
     assistant: Assistant,
     store: Arc<SessionStore>,
     gate: Arc<AdmissionGate>,
-    running: Arc<AtomicBool>,
-    aborted: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     repl: Arc<ReplState>,
     counters: Arc<ServerCounters>,
     started: Instant,
@@ -170,7 +260,6 @@ impl Server {
     /// configuration and recovers its intact prefix.
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(config.addr())?;
-        listener.set_nonblocking(true)?;
         let corpus = Arc::new(build_aep(&AepConfig {
             n_examples: config.n_examples,
             seed: config.seed,
@@ -198,23 +287,32 @@ impl Server {
             queue_wait_ms: config.queue_wait_ms,
         });
         // Replication state exists (inert) even without replication, so
-        // the serving path is identical either way. A `--replica-of`
+        // the serving path is identical either way; only a node that
+        // ships or follows keeps a replication log. A `--replica-of`
         // daemon boots as a follower; `--repl-listen` binds the channel
         // followers connect to.
         let repl = ReplState::new(
             Arc::clone(&store),
             config.replica_of.is_some(),
+            config.repl_listen.is_some() || config.replica_of.is_some(),
             config.repl_ack,
             config.repl_ack_timeout_ms,
         );
-        let repl_listener = match config.repl_listen.as_deref() {
-            Some(addr) => {
-                let listener = TcpListener::bind(addr)?;
-                listener.set_nonblocking(true)?;
-                Some(listener)
-            }
-            None => None,
-        };
+        let repl_listener = config
+            .repl_listen
+            .as_deref()
+            .map(TcpListener::bind)
+            .transpose()?;
+        let mut wake = vec![wake_addr(listener.local_addr()?)];
+        if let Some(repl_listener) = &repl_listener {
+            wake.push(wake_addr(repl_listener.local_addr()?));
+        }
+        let stop = Arc::new(Stop {
+            running: Arc::new(AtomicBool::new(true)),
+            aborted: AtomicBool::new(false),
+            gate: Arc::clone(&gate),
+            wake,
+        });
         Ok(Server {
             config,
             listener,
@@ -224,8 +322,7 @@ impl Server {
             assistant,
             store,
             gate,
-            running: Arc::new(AtomicBool::new(true)),
-            aborted: Arc::new(AtomicBool::new(false)),
+            stop,
             repl,
             counters: Arc::new(ServerCounters::default()),
             started: Instant::now(),
@@ -254,23 +351,22 @@ impl Server {
     /// A shutdown handle usable from another thread.
     pub fn handle(&self) -> io::Result<ServerHandle> {
         Ok(ServerHandle {
-            running: Arc::clone(&self.running),
-            aborted: Arc::clone(&self.aborted),
-            gate: Arc::clone(&self.gate),
+            stop: Arc::clone(&self.stop),
             repl: Arc::clone(&self.repl),
             addr: self.local_addr()?,
         })
     }
 
     /// Runs the accept loop until a graceful shutdown, then drains live
-    /// connections, syncs the store, and reports.
+    /// connections, syncs the store, and reports. A failed accept stops
+    /// and drains the daemon the same way before its error is returned.
     pub fn serve(mut self) -> io::Result<ServeSummary> {
         // Replication threads: an acceptor + per-follower shippers on
         // the primary side, the receive/apply loop on the follower side.
-        let mut repl_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let mut repl_threads: Vec<JoinHandle<()>> = Vec::new();
         if let Some(listener) = self.repl_listener.take() {
             let repl = Arc::clone(&self.repl);
-            let running = Arc::clone(&self.running);
+            let running = Arc::clone(&self.stop.running);
             let fingerprint = self.config.fingerprint();
             repl_threads.push(std::thread::spawn(move || {
                 run_repl_acceptor(listener, repl, running, fingerprint);
@@ -278,62 +374,50 @@ impl Server {
         }
         if let Some(primary) = self.config.replica_of.clone() {
             let repl = Arc::clone(&self.repl);
-            let running = Arc::clone(&self.running);
+            let running = Arc::clone(&self.stop.running);
             let fingerprint = self.config.fingerprint();
             let auto_promote = self.config.auto_promote;
             repl_threads.push(std::thread::spawn(move || {
                 run_follower(&primary, &repl, &running, fingerprint, auto_promote);
             }));
         }
-        let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while self.running.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let ctx = ConnCtx {
-                        config: self.config.clone(),
-                        corpus: Arc::clone(&self.corpus),
-                        embeddings: Arc::clone(&self.embeddings),
-                        assistant: self.assistant.clone(),
-                        store: Arc::clone(&self.store),
-                        gate: Arc::clone(&self.gate),
-                        running: Arc::clone(&self.running),
-                        aborted: Arc::clone(&self.aborted),
-                        repl: Arc::clone(&self.repl),
-                        counters: Arc::clone(&self.counters),
-                        started: self.started,
-                    };
-                    workers.push(std::thread::spawn(move || {
-                        let corpus = Arc::clone(&ctx.corpus);
-                        // The connection thread is itself isolated: a bug
-                        // in the handler kills one connection, never the
-                        // daemon.
-                        if crate::isolate::run_isolated(|| handle_conn(&ctx, &corpus, stream))
-                            .is_err()
-                        {
-                            ctx.counters
-                                .contained_panics
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-            workers.retain(|w| !w.is_finished());
-        }
-        // Drain: the gate is closed (shutdown already did it, or a
-        // handle-driven stop does it here); live handlers notice the
-        // flag within one poll interval.
-        self.gate.close();
+        let (workers, accepted) =
+            accept_until_stopped(&self.listener, &self.stop.running, |stream| {
+                let ctx = ConnCtx {
+                    config: self.config.clone(),
+                    corpus: Arc::clone(&self.corpus),
+                    embeddings: Arc::clone(&self.embeddings),
+                    assistant: self.assistant.clone(),
+                    store: Arc::clone(&self.store),
+                    gate: Arc::clone(&self.gate),
+                    stop: Arc::clone(&self.stop),
+                    repl: Arc::clone(&self.repl),
+                    counters: Arc::clone(&self.counters),
+                    started: self.started,
+                };
+                std::thread::spawn(move || {
+                    let corpus = Arc::clone(&ctx.corpus);
+                    // The connection thread is itself isolated: a bug in
+                    // the handler kills one connection, never the daemon.
+                    if crate::isolate::run_isolated(|| handle_conn(&ctx, &corpus, stream)).is_err()
+                    {
+                        ctx.counters
+                            .contained_panics
+                            .fetch_add(1, Ordering::Relaxed);
+                    }
+                })
+            });
+        // Drain: a stop already ran (this call is then a no-op); after a
+        // failed accept it runs here. Live handlers notice within one
+        // read-timeout interval.
+        self.stop.stop(false);
         for worker in workers {
             let _ = worker.join();
         }
         for thread in repl_threads {
             let _ = thread.join();
         }
+        accepted?;
         // A chaos-degraded store may legitimately fail its final sync
         // (injected fsync fault, disk-full); the drain still reports.
         let _ = self.store.sync();
@@ -396,8 +480,7 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
         };
         match first {
             ClientRequest::Shutdown => {
-                ctx.gate.close();
-                ctx.running.store(false, Ordering::Release);
+                ctx.stop.stop(false);
                 let _ = write_frame(&mut stream, &ServerResponse::ShuttingDown);
                 return;
             }
@@ -451,7 +534,7 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
             // closed as a side effect of the abort, but answering with
             // a typed rejection would turn "your peer died, fail over"
             // into "backpressure, give up" for the connecting client.
-            if ctx.aborted.load(Ordering::Acquire) {
+            if ctx.stop.aborted() {
                 return;
             }
             let (active, queued) = match &rejection {
@@ -528,8 +611,8 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
     // the session — gated on the open's own stream position, so a
     // resume (no new append, `repl_upto` 0) passes straight through.
     // An aborted (killed) daemon writes nothing more.
-    ctx.repl.quorum_gate(hosted.repl_upto, &ctx.running);
-    if ctx.aborted.load(Ordering::Acquire) {
+    ctx.repl.quorum_gate(hosted.repl_upto, &ctx.stop.running);
+    if ctx.stop.aborted() {
         return;
     }
     let replayed_rounds = hosted.session.round();
@@ -576,9 +659,9 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
         );
         let response = dispatch(ctx, corpus, &mut hosted, request);
         if gated {
-            ctx.repl.quorum_gate(hosted.repl_upto, &ctx.running);
+            ctx.repl.quorum_gate(hosted.repl_upto, &ctx.stop.running);
         }
-        if ctx.aborted.load(Ordering::Acquire) {
+        if ctx.stop.aborted() {
             // Killed mid-request: drop the response on the floor — the
             // client must see a dead socket, not a farewell.
             return;
@@ -752,10 +835,10 @@ fn next_request(ctx: &ConnCtx, stream: &mut TcpStream) -> NextFrame {
     let deadline = (ctx.config.idle_timeout_ms > 0)
         .then(|| armed + Duration::from_millis(ctx.config.idle_timeout_ms));
     loop {
-        if !ctx.running.load(Ordering::Acquire) {
+        if !ctx.stop.running() {
             // A graceful drain says goodbye; an abort (in-process kill)
             // just drops the connection mid-conversation.
-            if !ctx.aborted.load(Ordering::Acquire) {
+            if !ctx.stop.aborted() {
                 let _ = write_frame(stream, &ServerResponse::ShuttingDown);
             }
             return NextFrame::Gone;
@@ -882,8 +965,7 @@ fn dispatch<'a>(
             }
         }
         ClientRequest::Shutdown => {
-            ctx.gate.close();
-            ctx.running.store(false, Ordering::Release);
+            ctx.stop.stop(false);
             ServerResponse::ShuttingDown
         }
         ClientRequest::Stats => ServerResponse::Stats(server_stats(ctx)),

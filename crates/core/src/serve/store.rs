@@ -68,6 +68,10 @@ pub const SESSION_STORE_MARKER: u64 = u64::MAX;
 /// ([`SessionOp::Checkpoint`]); never issued to a real session.
 pub const META_SESSION: u64 = u64::MAX;
 
+/// Each fencing epoch issues session ids from its own range, starting
+/// at `epoch << EPOCH_ID_SHIFT` (see [`SessionStore::open_session`]).
+const EPOCH_ID_SHIFT: u32 = 32;
+
 /// One journaled session operation — the replay unit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SessionOp {
@@ -361,6 +365,11 @@ impl SessionStore {
     /// the journal has flipped unwritable — existing sessions keep
     /// running memory-only, but new work is shed while durability is
     /// gone.
+    ///
+    /// Ids never repeat across a failover: a node promoted to epoch `E`
+    /// issues ids from `E << 32` up, above every id its deposed
+    /// predecessor handed out — including opens that never shipped — so
+    /// a client re-attaching by id finds its own session or none.
     pub fn open_session(&self) -> io::Result<(u64, Appended)> {
         let (id, durability, _) = self.open_session_tracked()?;
         Ok((id, durability))
@@ -377,8 +386,8 @@ impl SessionStore {
                 "session store is unwritable (disk full); not accepting new sessions",
             ));
         }
-        let id = inner.next_id;
-        inner.next_id += 1;
+        let id = inner.next_id.max(inner.epoch << EPOCH_ID_SHIFT);
+        inner.next_id = id + 1;
         let (durability, repl_upto) = self.append_locked(&mut inner, id, SessionOp::Opened);
         Ok((id, durability, repl_upto))
     }
@@ -456,12 +465,7 @@ impl SessionStore {
         Ok(())
     }
 
-    fn append_locked(
-        &self,
-        inner: &mut Inner,
-        session_id: u64,
-        op: SessionOp,
-    ) -> (Appended, u64) {
+    fn append_locked(&self, inner: &mut Inner, session_id: u64, op: SessionOp) -> (Appended, u64) {
         let op_index = {
             let slot = inner.op_counts.entry(session_id).or_insert(0);
             let index = *slot;
@@ -876,14 +880,45 @@ mod tests {
             assert_eq!(store.len(), 0, "the image is blank");
             assert!(store.session_ids().is_empty());
             assert_eq!(store.epoch(), 3, "the fence survives the wipe");
-            // Ids restart from 0 — the resynced stream renumbers them.
-            assert_eq!(store.open_session().unwrap().0, 0);
+            // Ids restart from the epoch's range base — the resynced
+            // stream renumbers them.
+            assert_eq!(store.open_session().unwrap().0, 3 << EPOCH_ID_SHIFT);
         }
         // The journal rewrite is what a restart replays: blank ops, the
         // epoch re-asserted.
         let store = SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::Never)).unwrap();
-        assert_eq!(store.session_ids(), vec![0], "only the post-resync open");
+        assert_eq!(
+            store.session_ids(),
+            vec![3 << EPOCH_ID_SHIFT],
+            "only the post-resync open"
+        );
         assert_eq!(store.epoch(), 3);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn session_ids_never_repeat_across_a_promotion() {
+        let path = tmp("epoch-ids");
+        std::fs::remove_file(&path).ok();
+        let primary = SessionStore::open(None, opts(0xF00D, FsyncPolicy::Never)).unwrap();
+        let shipped = primary.open_session().unwrap().0;
+        for _ in 0..2 {
+            // Opened on the primary but never shipped.
+            primary.open_session().unwrap();
+        }
+        {
+            let follower =
+                SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::EachRecord)).unwrap();
+            follower.apply_replicated(shipped, SessionOp::Opened);
+            follower.set_epoch(1).unwrap();
+        }
+        // Promoted, restarted, and only then opening: the new ids sit
+        // above every id the deposed primary can have issued.
+        let promoted = SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::Never)).unwrap();
+        let (id, _) = promoted.open_session().unwrap();
+        assert_eq!(id, 1 << EPOCH_ID_SHIFT);
+        assert!(primary.session_ids().iter().all(|&old| old < id));
+        assert_eq!(promoted.open_session().unwrap().0, id + 1);
         std::fs::remove_file(&path).ok();
     }
 

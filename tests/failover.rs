@@ -284,8 +284,38 @@ fn fenced_ex_primary_refuses_writes_with_a_typed_rejection() {
 
 #[test]
 fn follower_store_tracks_the_primary_byte_identically() {
+    follower_journal_matches_primary("track", false);
+}
+
+#[test]
+fn late_joining_follower_store_tracks_the_primary_byte_identically() {
+    // The follower boots only after the sessions were served: everything
+    // it holds comes from the log the primary retained since boot.
+    follower_journal_matches_primary("late-join", true);
+}
+
+/// Serves three sessions on a `--repl-listen` primary with a follower
+/// attached before (or, with `late_join`, only after) the load, then
+/// requires the follower's journal to equal the primary's byte for byte.
+fn follower_journal_matches_primary(tag: &str, late_join: bool) {
     let base = test_config();
-    let (primary, follower, p_store, f_store) = boot_pair(&base, "track", false);
+    let p_store = temp_store(&format!("{tag}-p"));
+    let f_store = temp_store(&format!("{tag}-f"));
+    let primary = boot(base.clone().store(&p_store).repl_listen("127.0.0.1:0"));
+    let boot_follower = || {
+        let repl = primary.repl_addr.expect("repl listener bound");
+        let follower = boot(
+            base.clone()
+                .store(&f_store)
+                .replica_of(repl.to_string())
+                .auto_promote(false),
+        );
+        wait_for("follower to attach", Duration::from_secs(10), || {
+            primary.handle.repl().log.followers() > 0
+        });
+        follower
+    };
+    let early = (!late_join).then(boot_follower);
     let corpus = fisql_spider::build_aep(&fisql_spider::AepConfig {
         n_examples: base.n_examples,
         seed: base.seed,
@@ -300,6 +330,7 @@ fn follower_store_tracks_the_primary_byte_identically() {
         client.feedback("we are in 2024", None).expect("feedback");
         client.bye().expect("bye");
     }
+    let follower = early.unwrap_or_else(boot_follower);
 
     // Catch up: every shipped record acknowledged, stores the same size.
     wait_for("replication to drain", Duration::from_secs(10), || {

@@ -1,18 +1,19 @@
 //! Integration tests for `fisql serve`: concurrent session capacity,
-//! admission backpressure, journal-backed restart replay, and graceful
-//! shutdown — all against a real daemon on a real socket.
+//! admission backpressure, journal-backed restart replay, graceful
+//! shutdown, and an accept loop that serves without polling — all
+//! against a real daemon on a real socket.
 
 use fisql_core::serve::{
-    request_compact, request_stats, run_load, Connected, ServeClient, ServeSummary, Server,
-    ServerHandle, SessionStore, StoreOptions,
+    request_compact, request_shutdown, request_stats, run_load, Connected, ServeClient,
+    ServeSummary, Server, ServerHandle, SessionStore, StoreOptions,
 };
 use fisql_core::{LoadConfig, ServeConfig, SessionEvent};
 use fisql_spider::{build_aep, AepConfig};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A small, fast serving configuration on an ephemeral port.
 fn test_config() -> ServeConfig {
@@ -156,6 +157,9 @@ fn scripted_load_completes_against_a_capped_daemon() {
     assert_eq!(report.sessions_failed, 0);
     assert!(report.rounds >= 40);
     assert!(report.latencies_us.len() >= 80);
+    // No follower can ever read a plain daemon's replication log, so it
+    // retains none.
+    assert_eq!(handle.repl().log.tail(), 0, "plain daemon retained ops");
 
     let summary = stop(&handle, thread);
     assert_eq!(summary.sessions_opened, 40);
@@ -245,14 +249,36 @@ fn foreign_store_configuration_is_refused_at_bind() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One way of stopping a daemon.
+#[derive(Debug, Clone, Copy)]
+enum StopBy {
+    Handle,
+    Abort,
+    AdminRequest,
+}
+
+/// Joins the serve thread, failing if `serve()` has not returned within
+/// 2 s.
+fn join_within_2s(thread: JoinHandle<ServeSummary>, what: &str) -> ServeSummary {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while !thread.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "{what}: serve() still running 2 s after the stop"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    thread.join().expect("server thread")
+}
+
 #[test]
 fn shutdown_request_drains_the_daemon_gracefully() {
     let (addr, _handle, thread) = boot(test_config());
     // An open session sees the drain notice instead of a dead socket.
     let mut client =
         admitted(ServeClient::connect_retry(addr.as_str(), None, Duration::from_secs(10)).unwrap());
-    assert!(fisql_core::serve::request_shutdown(addr.as_str()).expect("shutdown"));
-    let summary = thread.join().expect("server thread");
+    assert!(request_shutdown(addr.as_str()).expect("shutdown"));
+    let summary = join_within_2s(thread, "admin Shutdown with a live session");
     assert_eq!(summary.sessions_opened, 1);
     // The daemon is gone: new connections fail or are drained.
     assert!(matches!(
@@ -262,6 +288,61 @@ fn shutdown_request_drains_the_daemon_gracefully() {
     // The held client's next request surfaces the drain (ShuttingDown
     // frame or closed socket), never a hang.
     let _ = client.request(&fisql_core::serve::ClientRequest::Transcript);
+
+    // Every stop path wakes an accept loop blocked on an idle listener:
+    // on loopback, on an unspecified bind (woken through loopback), and
+    // on a `--repl-listen` daemon, whose replication acceptor must exit
+    // too before `serve()` can return.
+    let binds = [
+        ("127.0.0.1", None),
+        ("0.0.0.0", None),
+        ("127.0.0.1", Some("0.0.0.0:0")),
+    ];
+    for (host, repl_listen) in binds {
+        for how in [StopBy::Handle, StopBy::Abort, StopBy::AdminRequest] {
+            let mut config = test_config().host(host);
+            if let Some(repl) = repl_listen {
+                config = config.repl_listen(repl);
+            }
+            let (_, handle, thread) = boot(config);
+            let loopback = SocketAddr::from(([127, 0, 0, 1], handle.addr().port()));
+            // Give the accept loop time to block in `accept`.
+            std::thread::sleep(Duration::from_millis(100));
+            match how {
+                StopBy::Handle => handle.shutdown(),
+                StopBy::Abort => handle.abort(),
+                StopBy::AdminRequest => assert!(request_shutdown(loopback).expect("shutdown")),
+            }
+            let what = format!("{how:?} on {host} (repl listener {repl_listen:?})");
+            let summary = join_within_2s(thread, &what);
+            assert_eq!(summary.sessions_opened, 0, "{what}");
+            assert_eq!(summary.final_active, 0, "{what}");
+        }
+    }
+}
+
+#[test]
+fn sessions_open_on_an_idle_daemon_without_waiting_on_a_poll() {
+    // Sessions opened one after another each find the accept loop idle;
+    // connect → Welcome must cost a round-trip, not a poll interval.
+    let (addr, handle, thread) = boot(test_config());
+    let mut opens: Vec<Duration> = (0..20)
+        .map(|_| {
+            let started = Instant::now();
+            let client = admitted(ServeClient::connect(addr.as_str(), None).expect("connect"));
+            let open = started.elapsed();
+            client.bye().expect("bye");
+            open
+        })
+        .collect();
+    opens.sort();
+    let median = opens[opens.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median connect → Welcome {median:?} (all: {opens:?})"
+    );
+    let summary = stop(&handle, thread);
+    assert_eq!(summary.sessions_opened, 20);
 }
 
 #[test]
