@@ -117,19 +117,27 @@ pub fn from_slice<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T> {
 // Writer
 // --------------------------------------------------------------------------
 
+/// `write!` into a `String`, which cannot fail.
+macro_rules! push_fmt {
+    ($out:expr, $($arg:tt)*) => {
+        std::fmt::Write::write_fmt($out, format_args!($($arg)*))
+            .expect("writing to a String cannot fail")
+    };
+}
+
 fn write_content(content: &Content, out: &mut String) {
     match content {
         Content::Null => out.push_str("null"),
         Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Content::I64(n) => out.push_str(&n.to_string()),
-        Content::U64(n) => out.push_str(&n.to_string()),
+        Content::I64(n) => push_fmt!(out, "{n}"),
+        Content::U64(n) => push_fmt!(out, "{n}"),
         Content::F64(x) => {
             if x.is_finite() {
-                let s = format!("{x}");
-                out.push_str(&s);
+                let start = out.len();
+                push_fmt!(out, "{x}");
                 // ryu always keeps a fractional part; Rust's shortest
                 // display drops ".0" — restore it for format parity.
-                if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+                if !out[start..].contains(['.', 'e', 'E']) {
                     out.push_str(".0");
                 }
             } else {
@@ -163,23 +171,33 @@ fn write_content(content: &Content, out: &mut String) {
     }
 }
 
+/// Writes `s` as a JSON string literal, copying each run of bytes that
+/// needs no escape in one `push_str`. Every escaped byte is ASCII, so
+/// each run starts and ends on a char boundary.
 fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run_start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run_start..i]);
+        if escape.is_empty() {
+            push_fmt!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run_start = i + 1;
     }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 
@@ -187,16 +205,33 @@ fn write_json_string(s: &str, out: &mut String) {
 // Parser
 // --------------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts. Deeper input is a
+/// typed [`Error`] instead of a stack overflow: the parser recurses once
+/// per level, and a peer can send a frame of nothing but `[`.
+///
+/// The deepest value this workspace serializes is a SQL query nested to
+/// the SQL parser's own limit of 128 levels. Its deepest shape, a
+/// derived table joined inside a compound select at every level, spends
+/// 9 JSON levels per SQL level (about 1,130 in all); the budget allows
+/// 10, which leaves room for the report around the query. A level costs
+/// about 240 bytes of stack in a release build (880 in a debug build),
+/// so a full budget needs about 300 KiB of a 2 MiB thread stack.
+const MAX_DEPTH: usize = 1280;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -243,11 +278,28 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Content::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Content::Bool(false)),
             Some(b'"') => self.parse_string().map(Content::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.too_deep());
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.err("expected JSON value")),
         }
+    }
+
+    /// Kept out of [`Parser::parse_value`] so the formatting temporaries
+    /// do not grow the frame every nesting level pays for.
+    fn too_deep(&self) -> Error {
+        self.err(&format!("nesting exceeds {MAX_DEPTH} levels"))
     }
 
     fn parse_keyword(&mut self, word: &str, value: Content) -> Result<Content> {
@@ -308,55 +360,74 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a string literal in one pass: each run of bytes up to the
+    /// next `"` or `\` is copied whole. Both are ASCII, so every run ends
+    /// on a char boundary of the already-validated text. Raw control
+    /// characters are accepted as they are.
     fn parse_string(&mut self) -> Result<String> {
         self.eat(b'"', "expected string")?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Surrogate pairs are not produced by our
-                            // writer; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            let Some(run) = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
+            }
+            self.pos += 1;
+            let escaped = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => self.parse_unicode_escape()?,
+                _ => return Err(self.err("invalid escape")),
+            };
+            out.push(escaped);
+            self.pos += 1;
+        }
+    }
+
+    /// Decodes the `\uXXXX` escape whose `u` sits at `pos`, leaving
+    /// `pos` on its last hex digit. A high surrogate directly followed by
+    /// an escaped low surrogate decodes to the one scalar the pair
+    /// encodes; any other surrogate becomes U+FFFD.
+    fn parse_unicode_escape(&mut self) -> Result<char> {
+        let code = self.hex4(self.pos + 1)?;
+        self.pos += 4;
+        if (0xD800..0xDC00).contains(&code) && self.bytes[self.pos + 1..].starts_with(b"\\u") {
+            if let Ok(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 3) {
+                self.pos += 6;
+                let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(scalar).expect("a surrogate pair encodes a scalar"));
             }
         }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
+    }
+
+    /// Reads exactly four hex digits starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32> {
+        let digits = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        digits.iter().try_fold(0, |code, &b| {
+            let digit = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            Ok(code << 4 | digit)
+        })
     }
 
     fn parse_number(&mut self) -> Result<Content> {
@@ -552,4 +623,87 @@ macro_rules! json_internal {
 #[doc(hidden)]
 macro_rules! json_unexpected {
     () => {};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn decode(json: &str) -> Result<String> {
+        from_str(json)
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        assert_eq!(decode(r#""\ud83d\ude00""#).unwrap(), "\u{1f600}");
+        assert_eq!(decode(r#""a\uD83D\uDE00b""#).unwrap(), "a\u{1f600}b");
+        // Lone or mismatched surrogates keep decoding, as U+FFFD.
+        assert_eq!(decode(r#""\ud83d""#).unwrap(), "\u{fffd}");
+        assert_eq!(decode(r#""\ude00x""#).unwrap(), "\u{fffd}x");
+        assert_eq!(decode(r#""\ud83d\u0041""#).unwrap(), "\u{fffd}A");
+        assert_eq!(decode(r#""\ud83d\n""#).unwrap(), "\u{fffd}\n");
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(decode(r#""\u00e9\u00C9""#).unwrap(), "éÉ");
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u04""#,
+            r#""\ud83d\u+e00""#,
+        ] {
+            assert!(decode(bad).is_err(), "{bad} must be refused");
+        }
+        // Only four digits belong to the escape.
+        assert_eq!(decode(r#""\u00411""#).unwrap(), "A1");
+    }
+
+    #[test]
+    fn strings_round_trip_with_the_standard_escapes() {
+        let text = "plain \"q\" back\\slash\n\r\t\u{8}\u{c}\u{0}\u{1f}\u{7f} é ✓ \u{1f600}/";
+        let json = to_string(text).unwrap();
+        assert_eq!(
+            json,
+            "\"plain \\\"q\\\" back\\\\slash\\n\\r\\t\\b\\f\\u0000\\u001f\u{7f} é ✓ \u{1f600}/\""
+        );
+        assert_eq!(decode(&json).unwrap(), text);
+        // Raw control characters and escaped slashes stay accepted.
+        assert_eq!(decode("\"a\u{1}\\/b\"").unwrap(), "a\u{1}/b");
+        assert!(decode(r#""open"#).is_err());
+        assert!(decode(r#""bad \q escape""#).is_err());
+    }
+
+    #[test]
+    fn numbers_keep_their_format() {
+        let value = Value::array(vec![
+            to_value(-7i64).unwrap(),
+            to_value(u64::MAX).unwrap(),
+            to_value(2.0f64).unwrap(),
+            to_value(0.25f64).unwrap(),
+            to_value(1e21f64).unwrap(),
+            to_value(f64::NAN).unwrap(),
+        ]);
+        assert_eq!(
+            value.to_string(),
+            "[-7,18446744073709551615,2.0,0.25,1000000000000000000000.0,null]"
+        );
+    }
+
+    fn nested(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error() {
+        let deepest: Value = from_str(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(deepest.to_string(), nested(MAX_DEPTH));
+        let err = from_str::<Value>(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting exceeds"), "{err}");
+        let mixed = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(from_str::<Value>(&mixed).is_ok());
+        assert!(from_str::<Value>(&format!("[{mixed}]")).is_err());
+    }
 }

@@ -332,6 +332,14 @@ pub enum ChaosBehavior {
     Garbage,
     /// Completes the handshake, then never sends another byte.
     SilentStall,
+    /// Sends a valid `Ask` whose question is about 1 MiB of text with
+    /// escapes and multi-byte characters. The JSON decoder is linear, so
+    /// the turn costs the daemon time in proportion to its length and
+    /// nothing more.
+    LongString,
+    /// Writes a correctly framed array nested 20,000 levels deep, far
+    /// past the JSON parser's depth budget.
+    DeepNesting,
 }
 
 /// All behaviors, in the order the seeded picker indexes them.
@@ -341,6 +349,8 @@ pub const ALL_CHAOS_BEHAVIORS: &[ChaosBehavior] = &[
     ChaosBehavior::Oversized,
     ChaosBehavior::Garbage,
     ChaosBehavior::SilentStall,
+    ChaosBehavior::LongString,
+    ChaosBehavior::DeepNesting,
 ];
 
 /// Configuration for one chaos run.
@@ -478,6 +488,13 @@ fn encode_frame(request: &ClientRequest) -> Vec<u8> {
     bytes
 }
 
+/// Puts a length header in front of a raw body.
+fn framed(body: &[u8]) -> Vec<u8> {
+    let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(body);
+    frame
+}
+
 fn chaos_deadline(config: &ChaosConfig) -> Instant {
     Instant::now() + Duration::from_millis(config.read_deadline_ms)
 }
@@ -534,22 +551,8 @@ fn run_chaos_client(
                 }
                 std::thread::sleep(Duration::from_millis(config.byte_pause_ms));
             }
-            match read_verdict(&mut stream, config) {
-                Verdict::Reaped => ChaosOutcome::Reaped,
-                Verdict::Error => ChaosOutcome::Refused,
-                Verdict::Turn => {
-                    // Outran the idle clock: close politely so the
-                    // session does not read as a casualty.
-                    let _ = write_frame(&mut stream, &ClientRequest::Bye);
-                    let _ = read_frame_deadline::<_, ServerResponse>(
-                        &mut stream,
-                        chaos_deadline(config),
-                        true,
-                    );
-                    ChaosOutcome::Served
-                }
-                Verdict::Gone => ChaosOutcome::Disconnected,
-            }
+            // Outran the idle clock: the turn counts as served.
+            await_turn(&mut stream, config)
         }
         ChaosBehavior::MidFrameDisconnect => {
             let frame = encode_frame(&ask);
@@ -560,36 +563,63 @@ fn run_chaos_client(
         }
         ChaosBehavior::Oversized => {
             let header = ((MAX_FRAME_LEN + 1) as u32).to_le_bytes();
-            if stream.write_all(&header).is_err() {
-                return ChaosOutcome::Disconnected;
-            }
-            match read_verdict(&mut stream, config) {
-                Verdict::Error => ChaosOutcome::Refused,
-                Verdict::Reaped => ChaosOutcome::Reaped,
-                Verdict::Gone => ChaosOutcome::Disconnected,
-                Verdict::Turn => ChaosOutcome::Failed,
-            }
+            expect_refusal(&mut stream, &header, config)
         }
         ChaosBehavior::Garbage => {
             let body: Vec<u8> = (0..64).map(|_| rng.gen_range(0x80..=0xFFu8)).collect();
-            let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-            frame.extend_from_slice(&body);
-            if stream.write_all(&frame).is_err() {
+            expect_refusal(&mut stream, &framed(&body), config)
+        }
+        ChaosBehavior::SilentStall => expect_refusal(&mut stream, &[], config),
+        ChaosBehavior::LongString => {
+            let unit = format!(
+                "chaos question {} with \"quotes\", a \\ and ✓ ünïcödé\n",
+                rng.gen_range(0..1000u32)
+            );
+            let question = unit.repeat((1 << 20) / unit.len());
+            if stream
+                .write_all(&encode_frame(&ClientRequest::Ask { question }))
+                .is_err()
+            {
                 return ChaosOutcome::Disconnected;
             }
-            match read_verdict(&mut stream, config) {
-                Verdict::Error => ChaosOutcome::Refused,
-                Verdict::Reaped => ChaosOutcome::Reaped,
-                Verdict::Gone => ChaosOutcome::Disconnected,
-                Verdict::Turn => ChaosOutcome::Failed,
-            }
+            await_turn(&mut stream, config)
         }
-        ChaosBehavior::SilentStall => match read_verdict(&mut stream, config) {
-            Verdict::Reaped => ChaosOutcome::Reaped,
-            Verdict::Error => ChaosOutcome::Refused,
-            Verdict::Gone => ChaosOutcome::Disconnected,
-            Verdict::Turn => ChaosOutcome::Failed,
-        },
+        ChaosBehavior::DeepNesting => {
+            let depth = 20_000;
+            let mut body = vec![b'['; depth];
+            body.resize(2 * depth, b']');
+            expect_refusal(&mut stream, &framed(&body), config)
+        }
+    }
+}
+
+/// Writes bytes the daemon must not serve (none, for a stall) and
+/// classifies its answer; a served turn would mean it accepted them.
+fn expect_refusal(stream: &mut TcpStream, bytes: &[u8], config: &ChaosConfig) -> ChaosOutcome {
+    if stream.write_all(bytes).is_err() {
+        return ChaosOutcome::Disconnected;
+    }
+    match read_verdict(stream, config) {
+        Verdict::Error => ChaosOutcome::Refused,
+        Verdict::Reaped => ChaosOutcome::Reaped,
+        Verdict::Gone => ChaosOutcome::Disconnected,
+        Verdict::Turn => ChaosOutcome::Failed,
+    }
+}
+
+/// Classifies the daemon's answer to a request it may legitimately
+/// serve. A served turn closes politely, so the session does not read as
+/// a casualty.
+fn await_turn(stream: &mut TcpStream, config: &ChaosConfig) -> ChaosOutcome {
+    match read_verdict(stream, config) {
+        Verdict::Reaped => ChaosOutcome::Reaped,
+        Verdict::Error => ChaosOutcome::Refused,
+        Verdict::Turn => {
+            let _ = write_frame(stream, &ClientRequest::Bye);
+            let _ = read_frame_deadline::<_, ServerResponse>(stream, chaos_deadline(config), true);
+            ChaosOutcome::Served
+        }
+        Verdict::Gone => ChaosOutcome::Disconnected,
     }
 }
 

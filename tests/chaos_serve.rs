@@ -124,6 +124,43 @@ fn silent_stalls_observe_their_own_typed_reap() {
 }
 
 #[test]
+fn long_strings_are_served_and_deep_nesting_is_refused() {
+    // Pin the two payload attacks so the outcome is exact: a ~1 MiB
+    // question is a legitimate turn, a 20,000-level array is a typed
+    // refusal, and neither takes the daemon down.
+    let config = test_config().max_sessions(4);
+    let seed = config.seed;
+    let n_examples = config.n_examples;
+    let (addr, handle, thread) = boot(config);
+
+    let report = run_chaos(&ChaosConfig {
+        addr: addr.clone(),
+        clients: 6,
+        seed: 0x10_4E57,
+        behaviors: vec![ChaosBehavior::LongString, ChaosBehavior::DeepNesting],
+        read_deadline_ms: 20_000,
+        connect_retry_ms: 10_000,
+        ..ChaosConfig::default()
+    })
+    .expect("chaos run");
+    assert_eq!(report.failed, 0, "{report:?}");
+    assert_eq!(report.served + report.refused, 6, "{report:?}");
+    assert!(report.served > 0 && report.refused > 0, "{report:?}");
+
+    let corpus = build_aep(&AepConfig { n_examples, seed });
+    let mut client =
+        admitted(ServeClient::connect_retry(addr.as_str(), None, Duration::from_secs(10)).unwrap());
+    let turn = client.ask(&corpus.examples[0].question).expect("ask");
+    assert!(!turn.sql.is_empty());
+    client.bye().expect("bye");
+
+    let summary = stop(&handle, thread);
+    assert_eq!(summary.final_active, 0, "every slot returned");
+    assert_eq!(summary.contained_panics, 0);
+    assert_eq!(summary.questions_served, report.served + 1);
+}
+
+#[test]
 fn healthy_session_digests_are_unchanged_by_concurrent_chaos() {
     let serve = || {
         test_config()

@@ -305,18 +305,19 @@ proptest! {
     }
 }
 
-/// Cases for the canonicalization fuzz block below: 24 by default (the
-/// tests iterate whole corpora per case, so each case is already broad),
-/// cranked up in CI's `canon` job via `PROPTEST_CASES`.
-fn canon_fuzz_cases() -> u32 {
+/// Cases for a fuzz block: `PROPTEST_CASES` from the environment (CI
+/// cranks it up), `default` otherwise.
+fn fuzz_cases(default: u32) -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()
         .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(24)
+        .unwrap_or(default)
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(canon_fuzz_cases()))]
+    // 24 by default: the tests iterate whole corpora per case, so each
+    // case is already broad.
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases(24)))]
 
     /// Canonicalization is idempotent: one more pass over an already
     /// canonical query changes nothing. Exercised over gold queries and
@@ -584,21 +585,62 @@ fn aep_database_is_seed_deterministic() {
 // ---------------------------------------------------------------------
 // Serve wire-protocol fuzzing: adversarial bytes through the frame
 // reader must produce a typed error or clean EOF — never a panic, an
-// unbounded allocation, or a hang.
+// unbounded allocation, a stack overflow or a hang — and legitimate
+// text must survive the wire unchanged.
 // ---------------------------------------------------------------------
 
+use fisql_core::serve::protocol::{read_frame, write_frame, MAX_FRAME_LEN};
+use fisql_core::serve::ClientRequest;
+use proptest::strategy::Strategy as _;
+
+/// Reads one `ClientRequest` frame from `bytes`.
+fn read_request(bytes: &[u8]) -> std::io::Result<Option<ClientRequest>> {
+    read_frame(&mut std::io::Cursor::new(bytes))
+}
+
+/// Arbitrary Unicode text up to 64 KiB: mostly printable ASCII, mixed
+/// with everything the JSON codec escapes (quote, backslash, control
+/// characters), text that looks like an escape, and 2-, 3- and 4-byte
+/// scalars.
+fn wire_text() -> impl proptest::strategy::Strategy<Value = String> {
+    let scalar = (0u32..8, any::<u32>()).prop_map(|(class, bits)| {
+        let pick = |lo: u32, hi: u32| lo + bits % (hi - lo);
+        let code = match class {
+            0 => pick(0, 0x20),
+            1 => [0x22, 0x5c, 0x2f, 0x7f][bits as usize % 4],
+            2 => pick(0x80, 0x800),
+            3 => pick(0x800, 0xd800),
+            4 => pick(0x10000, 0x11_0000),
+            _ => pick(0x20, 0x7f),
+        };
+        char::from_u32(code)
+            .expect("no surrogate is picked")
+            .to_string()
+    });
+    let piece = prop_oneof![
+        20 => scalar,
+        1 => Just(r"\u0041".to_string()),
+        1 => Just(r"\ud83d\ude00".to_string()),
+        1 => Just("\\\"".to_string()),
+    ];
+    proptest::collection::vec(piece, 0..=40_000).prop_map(|pieces| {
+        let mut text = pieces.concat();
+        while text.len() > 64 * 1024 {
+            text.pop();
+        }
+        text
+    })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(fuzz_cases(64)))]
 
     /// Arbitrary bytes: the reader returns `Ok` or `Err`, never panics.
     #[test]
     fn protocol_reader_never_panics_on_random_bytes(
         bytes in proptest::collection::vec(any::<u8>(), 0..256usize)
     ) {
-        let mut cursor = std::io::Cursor::new(bytes);
-        let _ = fisql_core::serve::protocol::read_frame::<_, fisql_core::serve::ClientRequest>(
-            &mut cursor,
-        );
+        let _ = read_request(&bytes);
     }
 
     /// A valid frame truncated at every possible cut point is an error
@@ -606,59 +648,117 @@ proptest! {
     #[test]
     fn protocol_reader_never_panics_on_truncated_frames(cut in 0usize..64) {
         let mut bytes = Vec::new();
-        fisql_core::serve::protocol::write_frame(
-            &mut bytes,
-            &fisql_core::serve::ClientRequest::Bye,
-        ).unwrap();
+        write_frame(&mut bytes, &ClientRequest::Bye).unwrap();
         let full = bytes.len();
         bytes.truncate(cut.min(full));
         let truncated = bytes.len() < full;
-        let mut cursor = std::io::Cursor::new(bytes);
-        let result = fisql_core::serve::protocol::read_frame::<
-            _,
-            fisql_core::serve::ClientRequest,
-        >(&mut cursor);
+        let result = read_request(&bytes);
         if truncated {
             // Empty input is clean EOF (`Ok(None)`); a torn frame is a
             // typed error.
             prop_assert!(matches!(result, Ok(None) | Err(_)));
         } else {
-            prop_assert!(matches!(
-                result,
-                Ok(Some(fisql_core::serve::ClientRequest::Bye))
-            ));
+            prop_assert!(matches!(result, Ok(Some(ClientRequest::Bye))));
         }
     }
 
-    /// Deeply nested JSON in a well-formed frame is refused by the
-    /// parser's depth limit — it must not blow the stack.
+    /// Deeply nested JSON in a well-formed frame is refused with a typed
+    /// error by the parser's depth budget, on a thread with the 2 MiB
+    /// stack a connection thread gets: no depth may blow the stack.
     #[test]
-    fn protocol_reader_survives_deeply_nested_json(depth in 1usize..1500) {
-        let mut body = Vec::with_capacity(depth * 2);
-        body.extend(std::iter::repeat_n(b'[', depth));
-        body.extend(std::iter::repeat_n(b']', depth));
-        let mut frame = (body.len() as u32).to_le_bytes().to_vec();
-        frame.extend_from_slice(&body);
-        let mut cursor = std::io::Cursor::new(frame);
-        let result = fisql_core::serve::protocol::read_frame::<
-            _,
-            fisql_core::serve::ClientRequest,
-        >(&mut cursor);
+    fn protocol_reader_survives_deeply_nested_json(
+        depth in prop_oneof![1usize..2_000, 2_000usize..100_000, Just(100_000usize)]
+    ) {
+        let mut frame = ((depth * 2) as u32).to_le_bytes().to_vec();
+        frame.extend(std::iter::repeat_n(b'[', depth));
+        frame.extend(std::iter::repeat_n(b']', depth));
+        let refused = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || read_request(&frame).is_err())
+            .unwrap()
+            .join()
+            .expect("the reader thread survives");
         // A JSON array is never a `ClientRequest`, and past the depth
-        // limit it is not even JSON to serde: both are typed errors.
-        prop_assert!(result.is_err());
+        // budget it is not even JSON to serde: both are typed errors.
+        prop_assert!(refused);
     }
 
     /// A frame header may claim any length: oversized claims are
     /// refused before any allocation happens.
     #[test]
     fn protocol_reader_refuses_oversized_headers(extra in 1u32..1024) {
-        let claimed = (fisql_core::serve::protocol::MAX_FRAME_LEN as u32) + extra;
-        let mut cursor = std::io::Cursor::new(claimed.to_le_bytes().to_vec());
-        let result = fisql_core::serve::protocol::read_frame::<
-            _,
-            fisql_core::serve::ClientRequest,
-        >(&mut cursor);
-        prop_assert!(result.is_err());
+        let claimed = (MAX_FRAME_LEN as u32) + extra;
+        prop_assert!(read_request(&claimed.to_le_bytes()).is_err());
     }
+
+    /// Any client text, whatever it needs escaped, decodes to exactly
+    /// what was encoded, in both requests that carry free text.
+    #[test]
+    fn protocol_reader_round_trips_arbitrary_unicode_text(
+        text in wire_text(),
+        highlight in proptest::option::of((0usize..4096, 0usize..4096)),
+    ) {
+        let highlight = highlight.map(|(a, b)| Span { start: a.min(b), end: a.max(b) });
+        for request in [
+            ClientRequest::Ask { question: text.clone() },
+            ClientRequest::Feedback { text: text.clone(), highlight },
+        ] {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &request).unwrap();
+            prop_assert_eq!(read_request(&wire).unwrap(), Some(request));
+        }
+    }
+}
+
+/// Decoding is linear in the frame length: a 16× longer string takes
+/// about 16× as long to parse, where a quadratic decoder takes about
+/// 256×. Only the ratio of the two sizes' best-of-5 times is asserted,
+/// never an absolute time.
+#[test]
+fn frame_decoding_scales_linearly_with_string_length() {
+    let best_parse = |len: usize| {
+        let unit = "how many \"audiences\" in 2024?\n ✓ ";
+        let question: String = unit.chars().cycle().take(len).collect();
+        let mut frame = Vec::new();
+        write_frame(&mut frame, &ClientRequest::Ask { question }).unwrap();
+        (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let request = read_request(&frame).unwrap();
+                let elapsed = start.elapsed();
+                assert!(matches!(request, Some(ClientRequest::Ask { .. })));
+                elapsed
+            })
+            .min()
+            .unwrap()
+    };
+    // Lengths in chars: 64 Ki and 1 Mi.
+    let small = best_parse(64 << 10);
+    let large = best_parse(1 << 20);
+    let ratio = large.as_secs_f64() / small.as_secs_f64();
+    assert!(
+        ratio < 40.0,
+        "16x the text took {ratio:.1}x the time ({small:?} -> {large:?})"
+    );
+}
+
+/// The deepest value the workspace serializes still decodes: a query
+/// nested to the SQL parser's depth limit, as a derived table joined
+/// inside a compound select at every level, inside an edit report.
+#[test]
+fn the_deepest_parsable_query_round_trips_through_json() {
+    let mut sql = "SELECT a FROM t".to_string();
+    let mut deepest = parse_query(&sql).unwrap();
+    loop {
+        sql = format!("SELECT a FROM t UNION SELECT a FROM t JOIN ({sql}) AS d ON 1 = 1");
+        match parse_query(&sql) {
+            Ok(query) => deepest = query,
+            Err(_) => break,
+        }
+    }
+    let join = deepest.compound[0].1.from.as_ref().unwrap().joins[0].clone();
+    let report = vec![("round 1".to_string(), vec![EditOp::AddJoin { join }])];
+    let json = serde_json::to_string(&report).unwrap();
+    let back: Vec<(String, Vec<EditOp>)> = serde_json::from_str(&json).unwrap();
+    assert_eq!(back, report);
 }

@@ -429,18 +429,21 @@ fn hostile_frames_get_typed_errors_and_the_daemon_keeps_serving() {
         "{reply:?}"
     );
 
-    // Deeply nested JSON: the parser's depth limit answers, the stack
-    // survives.
-    let mut nested = Vec::new();
-    nested.extend(std::iter::repeat_n(b'[', 600));
-    nested.extend(std::iter::repeat_n(b']', 600));
-    let mut framed = (nested.len() as u32).to_le_bytes().to_vec();
-    framed.extend_from_slice(&nested);
-    let reply = first_frame(&poke_raw(&addr, &framed)).expect("a typed reply");
-    assert!(
-        matches!(reply, fisql_core::serve::ServerResponse::Error { .. }),
-        "{reply:?}"
-    );
+    // Deeply nested JSON, within and far past the parser's depth
+    // budget, sent before `Hello`: a typed Error either way, and the
+    // connection thread's stack survives.
+    for depth in [600, 20_000] {
+        let mut nested = Vec::new();
+        nested.extend(std::iter::repeat_n(b'[', depth));
+        nested.extend(std::iter::repeat_n(b']', depth));
+        let mut framed = (nested.len() as u32).to_le_bytes().to_vec();
+        framed.extend_from_slice(&nested);
+        let reply = first_frame(&poke_raw(&addr, &framed)).expect("a typed reply");
+        assert!(
+            matches!(reply, fisql_core::serve::ServerResponse::Error { .. }),
+            "{depth} levels: {reply:?}"
+        );
+    }
 
     // A truncated frame (header promises more than arrives): the daemon
     // just closes; either way it must not crash or hang.
@@ -459,7 +462,7 @@ fn hostile_frames_get_typed_errors_and_the_daemon_keeps_serving() {
     assert_eq!(summary.sessions_opened, 1);
     assert_eq!(summary.contained_panics, 0);
     assert!(
-        summary.errors >= 4,
+        summary.errors >= 5,
         "hostile frames counted: {}",
         summary.errors
     );
