@@ -28,7 +28,9 @@
 use super::client::request_stats;
 use super::loadgen::{run_load, LoadReport};
 use super::protocol::ServerStats;
+use super::replicate::AckMode;
 use super::server::{ServeSummary, Server, ServerHandle};
+use super::store::SessionOp;
 use crate::config::{LoadConfig, ServeConfig};
 use std::io;
 use std::path::PathBuf;
@@ -39,12 +41,14 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillPoint {
     /// After the primary has served this many feedback rounds — a kill
-    /// in the thick of normal traffic.
+    /// in the thick of normal traffic. Under quorum acks the harness
+    /// then also holds shipping until a turn waits on the gate, so the
+    /// kill lands on a turn in flight.
     AfterRounds(u64),
-    /// At a replication-lag boundary: shipping is paused until at least
-    /// one appended record is pending, then the primary dies with the
-    /// follower provably behind. With `--repl-ack none` this is the
-    /// scenario that loses acknowledged rounds.
+    /// At a replication-lag boundary: shipping is paused until an
+    /// appended Ask or Feedback record is pending, then the primary
+    /// dies with the follower provably behind. With `--repl-ack none`
+    /// this is the scenario that loses acknowledged rounds.
     LagBoundary,
     /// After the primary's store has compacted at least once — the kill
     /// lands on a store whose journal was rewritten mid-stream.
@@ -225,19 +229,21 @@ fn trigger_kill(config: &FailoverConfig, primary: &Node) {
             let _ = wait_until(Duration::from_secs(30), || {
                 request_stats(&addr).is_ok_and(|s| s.rounds_served >= rounds)
             });
+            if config.serve.repl_ack == AckMode::Quorum {
+                // A quorum turn takes well under a millisecond, so a kill
+                // at an arbitrary instant can miss every turn; this lands
+                // it on one still waiting on the gate.
+                hold_until_a_turn_is_unshipped(primary);
+            }
         }
         KillPoint::LagBoundary => {
             // Let some traffic ship first, then pause shipping and wait
-            // for at least one appended record the follower provably
-            // has not seen.
+            // for an appended turn the follower provably has not seen.
             let addr = primary.addr.clone();
             let _ = wait_until(Duration::from_secs(30), || {
                 request_stats(&addr).is_ok_and(|s| s.rounds_served >= 1)
             });
-            primary.handle.repl().log.hold(true);
-            let _ = wait_until(Duration::from_secs(10), || {
-                primary.handle.repl().log.lag() > 0
-            });
+            hold_until_a_turn_is_unshipped(primary);
         }
         KillPoint::DuringCompaction => {
             let addr = primary.addr.clone();
@@ -247,6 +253,22 @@ fn trigger_kill(config: &FailoverConfig, primary: &Node) {
         }
     }
     primary.handle.abort();
+}
+
+/// Pauses the primary's shipping and blocks until an Ask or Feedback
+/// record is appended that the follower has not seen (at most 10 s).
+/// The wait blocks on the log rather than polling it: acks land within
+/// a millisecond, so a record is unshipped only from its append until
+/// the kill, and a poll tick could let the rest of the load finish
+/// first. A turn, not just any record, because the client behind it
+/// still has a request to send (a follow-up turn or its transcript), so
+/// the kill is felt as a re-attach — a dead Hello or Bye is not.
+fn hold_until_a_turn_is_unshipped(primary: &Node) {
+    let log = &primary.handle.repl().log;
+    log.hold(true);
+    log.wait_for_unacked(Instant::now() + Duration::from_secs(10), |op| {
+        matches!(op, SessionOp::Ask { .. } | SessionOp::Feedback { .. })
+    });
 }
 
 /// Polls `done` every 10 ms until it returns true or `budget` elapses.

@@ -54,7 +54,9 @@ pub use loadgen::{
     ChaosReport, LoadReport, SessionScript, ALL_CHAOS_BEHAVIORS,
 };
 pub use protocol::{ClientRequest, ServerResponse, ServerStats, PROTOCOL_VERSION};
-pub use replicate::{AckMode, ReplFrame, ReplLog, ReplState, Role, REPL_PROTOCOL_VERSION};
+pub use replicate::{
+    AckMode, ReplFrame, ReplLog, ReplState, Role, REPL_PROTOCOL_VERSION, SHIP_BATCH,
+};
 pub use server::{ServeSummary, Server, ServerHandle};
 pub use store::{
     Appended, CompactionOutcome, SessionOp, SessionStore, StoreOptions, StoreSnapshot,

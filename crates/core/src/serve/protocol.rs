@@ -211,6 +211,11 @@ pub struct ServerStats {
     pub repl_followers: u64,
     /// Records shipped to followers since the daemon started.
     pub repl_records_shipped: u64,
+    /// Records the replication log currently retains: the connected
+    /// followers' un-acknowledged tail on a primary, 0 on a follower
+    /// or a plain daemon.
+    #[serde(default)]
+    pub repl_log_retained: u64,
     /// Responses released because the follower-ack wait timed out
     /// (quorum mode only; each one is durability the client believed in
     /// but a follower never confirmed).

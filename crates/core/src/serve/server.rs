@@ -41,7 +41,7 @@ use super::protocol::{
     deadline_expired, read_frame, read_frame_deadline, write_frame, ClientRequest, ServerResponse,
     ServerStats, PROTOCOL_VERSION,
 };
-use super::replicate::{notify_deposed, run_follower, run_repl_acceptor, ReplState, Role};
+use super::replicate::{notify_deposed, run_follower, run_repl_acceptor, ReplLog, ReplState, Role};
 use super::store::{Appended, SessionOp, SessionStore, StoreOptions, StoreSnapshot};
 use crate::assistant::Assistant;
 use crate::config::{chaos_stack, ServeConfig};
@@ -128,18 +128,22 @@ struct Stop {
     /// One loopback address per bound listener (client port, then the
     /// replication channel): connecting there wakes a blocked accept.
     wake: Vec<SocketAddr>,
+    /// The replication log, whose shippers and quorum waiters block on
+    /// it until woken.
+    repl_log: Arc<ReplLog>,
 }
 
 impl Stop {
     /// Closes the admission gate, marks an abort, flips `running`, and
-    /// — on the first stop only — wakes every blocked accept loop.
-    /// Idempotent.
+    /// — on the first stop only — wakes everything blocked on the
+    /// replication log and every blocked accept loop. Idempotent.
     fn stop(&self, abort: bool) {
         if abort {
             self.aborted.store(true, Ordering::Release);
         }
         self.gate.close();
         if self.running.swap(false, Ordering::AcqRel) {
+            self.repl_log.wake_all();
             for addr in &self.wake {
                 // The woken loop re-checks `running` and drops this
                 // connection unserved.
@@ -312,6 +316,7 @@ impl Server {
             aborted: AtomicBool::new(false),
             gate: Arc::clone(&gate),
             wake,
+            repl_log: Arc::clone(&repl.log),
         });
         Ok(Server {
             config,
@@ -705,6 +710,7 @@ fn server_stats(ctx: &ConnCtx) -> ServerStats {
         replication_lag_records: ctx.repl.log.lag(),
         repl_followers: ctx.repl.log.followers() as u64,
         repl_records_shipped: ctx.repl.log.shipped(),
+        repl_log_retained: ctx.repl.log.retained(),
         repl_ack_timeouts: ctx.repl.ack_timeouts(),
         repl_ack_degraded: ctx.repl.ack_degraded(),
         repl_ack_degraded_entries: ctx.repl.ack_degraded_entries(),

@@ -50,7 +50,7 @@
 //! continue memory-only.
 
 use super::diskfault::DiskFaultConfig;
-use super::replicate::ReplLog;
+use super::replicate::{lineage_hash, ReplLog, SnapshotPoint};
 use crate::journal::{FsyncPolicy, RunJournal};
 use fisql_sqlkit::Span;
 use serde::{Deserialize, Serialize};
@@ -332,10 +332,7 @@ impl SessionStore {
             .max()
             .unwrap_or(0)
             .max(id_floor);
-        let mut op_counts = HashMap::new();
-        for (id, _) in &ops {
-            *op_counts.entry(*id).or_insert(0) += 1;
-        }
+        let op_counts = count_ops(&ops);
         let total_ops = ops.len() as u64;
         Ok(SessionStore {
             options,
@@ -422,15 +419,113 @@ impl SessionStore {
     }
 
     /// Attaches the replication log every subsequent non-meta append is
-    /// mirrored into (the caller preloads it from
-    /// [`SessionStore::replication_image`] first).
+    /// mirrored into, starting its stream at the end of the current
+    /// image: position = surviving ops, lineage hash = their hash. The
+    /// log keeps none of them.
     pub fn attach_repl(&self, log: Arc<ReplLog>) {
-        self.lock().repl = Some(log);
+        let mut inner = self.lock();
+        log.rebase(inner.ops.len() as u64, lineage_hash(&inner.ops));
+        inner.repl = Some(log);
     }
 
-    /// A copy of the live op stream, for seeding a replication log.
-    pub fn replication_image(&self) -> Vec<(u64, SessionOp)> {
-        self.lock().ops.clone()
+    /// A copy of the live op stream for a follower that cannot resume,
+    /// registered with `log` at the stream position the copy was taken
+    /// at. Both happen under the store lock, which every append to the
+    /// attached log holds, so the image is exactly the stream at
+    /// `point.base`.
+    pub(crate) fn replication_snapshot(
+        &self,
+        log: &ReplLog,
+    ) -> (Vec<(u64, SessionOp)>, SnapshotPoint) {
+        let inner = self.lock();
+        let point = log.join_snapshot();
+        (inner.ops.clone(), point)
+    }
+
+    /// Replaces this store's image with a replication primary's
+    /// snapshot, taken at stream position `base` with lineage hash
+    /// `base_hash`. The journal is atomically rewritten to the fencing
+    /// epoch — the one local fact that must survive, or a caught-up
+    /// ex-primary could forget it was deposed — followed by the image,
+    /// and the attached replication log resumes the stream at `base`.
+    /// Fault counters and the fault-schedule keys (`total_ops`,
+    /// `sync_count`) stay monotonic.
+    pub(crate) fn install_snapshot(
+        &self,
+        ops: Vec<(u64, SessionOp)>,
+        base: u64,
+        base_hash: u64,
+    ) -> io::Result<()> {
+        let mut inner = self.lock();
+        let epoch = inner.epoch;
+        let meta: Vec<SessionOp> = (epoch > 0)
+            .then_some(SessionOp::Epoch { epoch })
+            .into_iter()
+            .collect();
+        self.rewrite_journal(&mut inner, "snapshot", &meta, &ops)?;
+        inner.next_id = ops.iter().map(|(id, _)| id + 1).max().unwrap_or(0);
+        inner.op_counts = count_ops(&ops);
+        inner.ops = ops;
+        inner.generation = 0;
+        inner.closed_since_compact = 0;
+        if let Some(repl) = &inner.repl {
+            repl.rebase(base, base_hash);
+        }
+        Ok(())
+    }
+
+    /// Atomically replaces the journal (when the store has one) with
+    /// `meta` records followed by `ops`: written to a `.{suffix}`
+    /// sibling, synced, and renamed over the live file. The open handle
+    /// follows the inode, so appends continue into the file now living
+    /// at the path. A failed rewrite leaves the old journal in place.
+    fn rewrite_journal(
+        &self,
+        inner: &mut Inner,
+        suffix: &str,
+        meta: &[SessionOp],
+        ops: &[(u64, SessionOp)],
+    ) -> io::Result<()> {
+        let Some(path) = inner.path.clone() else {
+            return Ok(());
+        };
+        if !inner.writable {
+            return Err(io::Error::new(
+                io::ErrorKind::StorageFull,
+                "session store is unwritable (disk full); cannot rewrite the journal",
+            ));
+        }
+        let tmp = PathBuf::from(format!("{}.{suffix}", path.display()));
+        let rewrite = (|| -> io::Result<RunJournal> {
+            let mut journal = RunJournal::create(
+                &tmp,
+                self.options.fingerprint,
+                SESSION_STORE_MARKER,
+                self.options.fsync,
+            )?;
+            for op in meta {
+                journal.append(META_SESSION, op)?;
+            }
+            for (id, op) in ops {
+                journal.append(*id, op)?;
+            }
+            journal.sync()?;
+            Ok(journal)
+        })();
+        match rewrite {
+            Ok(journal) => {
+                std::fs::rename(&tmp, &path)?;
+                inner.journal = Some(journal);
+                Ok(())
+            }
+            Err(err) => {
+                std::fs::remove_file(&tmp).ok();
+                if err.kind() == io::ErrorKind::StorageFull {
+                    inner.writable = false;
+                }
+                Err(err)
+            }
+        }
     }
 
     /// The store's fencing epoch (0 = never promoted).
@@ -509,7 +604,7 @@ impl SessionStore {
         let mut repl_upto = 0;
         if let Some(repl) = &inner.repl {
             if session_id != META_SESSION {
-                repl_upto = repl.append(session_id, op.clone());
+                repl_upto = repl.append(session_id, &op);
             }
         }
         inner.ops.push((session_id, op));
@@ -548,65 +643,20 @@ impl SessionStore {
             .filter(|id| !survivors.contains(id))
             .count() as u64;
         let generation = inner.generation + 1;
-
-        if let Some(path) = inner.path.clone() {
-            if !inner.writable {
-                return Err(io::Error::new(
-                    io::ErrorKind::StorageFull,
-                    "session store is unwritable (disk full); cannot compact",
-                ));
-            }
-            let tmp = PathBuf::from(format!("{}.compact", path.display()));
-            let epoch = inner.epoch;
-            let rewrite = (|| -> io::Result<RunJournal> {
-                let mut journal = RunJournal::create(
-                    &tmp,
-                    self.options.fingerprint,
-                    SESSION_STORE_MARKER,
-                    self.options.fsync,
-                )?;
-                journal.append(
-                    META_SESSION,
-                    &SessionOp::Checkpoint {
-                        generation,
-                        next_session_id: inner.next_id,
-                    },
-                )?;
-                // The rewrite drops every old metadata record, so a
-                // nonzero fencing epoch must be re-asserted or a restart
-                // would forget it was ever promoted.
-                if epoch > 0 {
-                    journal.append(META_SESSION, &SessionOp::Epoch { epoch })?;
-                }
-                for (id, op) in &kept {
-                    journal.append(*id, op)?;
-                }
-                journal.sync()?;
-                Ok(journal)
-            })();
-            match rewrite {
-                Ok(journal) => {
-                    // Rename-over is atomic; the open handle follows the
-                    // inode, so the store keeps appending to the file
-                    // now living at `path`.
-                    std::fs::rename(&tmp, &path)?;
-                    inner.journal = Some(journal);
-                }
-                Err(err) => {
-                    std::fs::remove_file(&tmp).ok();
-                    if err.kind() == io::ErrorKind::StorageFull {
-                        inner.writable = false;
-                    }
-                    return Err(err);
-                }
-            }
+        // The rewrite drops every old metadata record, so a nonzero
+        // fencing epoch must be re-asserted or a restart would forget
+        // it was ever promoted.
+        let mut meta = vec![SessionOp::Checkpoint {
+            generation,
+            next_session_id: inner.next_id,
+        }];
+        if inner.epoch > 0 {
+            meta.push(SessionOp::Epoch { epoch: inner.epoch });
         }
+        self.rewrite_journal(inner, "compact", &meta, &kept)?;
 
+        inner.op_counts = count_ops(&kept);
         inner.ops = kept;
-        inner.op_counts.clear();
-        for (id, _) in &inner.ops {
-            *inner.op_counts.entry(*id).or_insert(0) += 1;
-        }
         inner.generation = generation;
         inner.closed_since_compact = 0;
         inner.compactions += 1;
@@ -618,63 +668,6 @@ impl SessionStore {
             ops_after,
             sessions_dropped,
         })
-    }
-
-    /// Empties the store back to a blank image so a follower can
-    /// re-bootstrap from a primary whose stream lineage no longer
-    /// matches (see `serve::replicate`). The journal is atomically
-    /// rewritten to just the fencing epoch — the one fact that must
-    /// survive a resync, or a wiped ex-primary could forget it was
-    /// deposed — and the attached replication log is cleared so the
-    /// next handshake offers `have = 0`. Fault counters and the
-    /// fault-schedule keys (`total_ops`, `sync_count`) stay monotonic.
-    pub fn reset_for_resync(&self) -> io::Result<()> {
-        let mut inner = self.lock();
-        if let Some(path) = inner.path.clone() {
-            if !inner.writable {
-                return Err(io::Error::new(
-                    io::ErrorKind::StorageFull,
-                    "session store is unwritable (disk full); cannot resync",
-                ));
-            }
-            let tmp = PathBuf::from(format!("{}.resync", path.display()));
-            let epoch = inner.epoch;
-            let rewrite = (|| -> io::Result<RunJournal> {
-                let mut journal = RunJournal::create(
-                    &tmp,
-                    self.options.fingerprint,
-                    SESSION_STORE_MARKER,
-                    self.options.fsync,
-                )?;
-                if epoch > 0 {
-                    journal.append(META_SESSION, &SessionOp::Epoch { epoch })?;
-                }
-                journal.sync()?;
-                Ok(journal)
-            })();
-            match rewrite {
-                Ok(journal) => {
-                    std::fs::rename(&tmp, &path)?;
-                    inner.journal = Some(journal);
-                }
-                Err(err) => {
-                    std::fs::remove_file(&tmp).ok();
-                    if err.kind() == io::ErrorKind::StorageFull {
-                        inner.writable = false;
-                    }
-                    return Err(err);
-                }
-            }
-        }
-        inner.ops.clear();
-        inner.op_counts.clear();
-        inner.next_id = 0;
-        inner.generation = 0;
-        inner.closed_since_compact = 0;
-        if let Some(repl) = &inner.repl {
-            repl.reset();
-        }
-        Ok(())
     }
 
     /// The ops of one session, in order (empty = unknown session).
@@ -779,6 +772,15 @@ impl SessionStore {
     }
 }
 
+/// Per-session op counts of `ops` (the fault schedule's op indices).
+fn count_ops(ops: &[(u64, SessionOp)]) -> HashMap<u64, u64> {
+    let mut counts = HashMap::new();
+    for (id, _) in ops {
+        *counts.entry(*id).or_insert(0) += 1;
+    }
+    counts
+}
+
 /// Distinct session ids in `ops`, ascending.
 fn sessions_of(ops: &[(u64, SessionOp)]) -> Vec<u64> {
     let mut ids: Vec<u64> = ops.iter().map(|(id, _)| *id).collect();
@@ -867,31 +869,43 @@ mod tests {
     }
 
     #[test]
-    fn reset_for_resync_blanks_the_image_but_keeps_the_epoch() {
-        let path = tmp("resync");
+    fn install_snapshot_replaces_the_image_but_keeps_the_epoch() {
+        let path = tmp("snapshot");
         std::fs::remove_file(&path).ok();
+        let image = vec![(7, SessionOp::Opened), (7, ask(2))];
         {
             let store =
                 SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::EachRecord)).unwrap();
+            let log = Arc::new(ReplLog::new());
+            store.attach_repl(Arc::clone(&log));
             let (id, _) = store.open_session().unwrap();
             store.append(id, ask(1));
             store.set_epoch(3).unwrap();
-            store.reset_for_resync().unwrap();
-            assert_eq!(store.len(), 0, "the image is blank");
-            assert!(store.session_ids().is_empty());
-            assert_eq!(store.epoch(), 3, "the fence survives the wipe");
-            // Ids restart from the epoch's range base — the resynced
-            // stream renumbers them.
+            store.install_snapshot(image.clone(), 40, 0xABC).unwrap();
+            assert_eq!(store.session_ids(), vec![7], "the image is the snapshot's");
+            assert_eq!(store.session_ops(7), vec![SessionOp::Opened, ask(2)]);
+            assert_eq!(store.epoch(), 3, "the fence survives the install");
+            assert_eq!(
+                (log.tail(), log.prefix_hash(40)),
+                (40, Some(0xABC)),
+                "the stream resumes at the snapshot's position"
+            );
+            assert_eq!(log.retained(), 0);
+            // Ids continue from the epoch's range base.
             assert_eq!(store.open_session().unwrap().0, 3 << EPOCH_ID_SHIFT);
         }
-        // The journal rewrite is what a restart replays: blank ops, the
-        // epoch re-asserted.
+        // The journal rewrite is what a restart replays: the snapshot's
+        // ops, the epoch re-asserted.
         let store = SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::Never)).unwrap();
         assert_eq!(
             store.session_ids(),
-            vec![3 << EPOCH_ID_SHIFT],
-            "only the post-resync open"
+            vec![7, 3 << EPOCH_ID_SHIFT],
+            "the snapshot plus the post-install open"
         );
+        assert_eq!(store.epoch(), 3);
+        // An empty snapshot blanks the image.
+        store.install_snapshot(Vec::new(), 0, 0).unwrap();
+        assert!(store.is_empty());
         assert_eq!(store.epoch(), 3);
         std::fs::remove_file(&path).ok();
     }
@@ -928,13 +942,17 @@ mod tests {
         // Replication detached: nothing to gate on.
         let (id, _, upto) = store.open_session_tracked().unwrap();
         assert_eq!(upto, 0);
-        let log = std::sync::Arc::new(crate::serve::replicate::ReplLog::new());
-        store.attach_repl(std::sync::Arc::clone(&log));
+        let log = Arc::new(ReplLog::new());
+        store.attach_repl(Arc::clone(&log));
+        // The stream starts at the end of the image (the `Opened`
+        // record), hashing it without keeping it.
+        assert_eq!(log.tail(), 1);
+        assert_eq!(log.retained(), 0);
         let (_, upto) = store.append_tracked(id, ask(0));
-        assert_eq!(upto, 1, "first mirrored record");
+        assert_eq!(upto, 2, "first mirrored record");
         let (_, upto) = store.append_tracked(id, SessionOp::Closed);
-        assert_eq!(upto, 2);
-        assert_eq!(log.tail(), 2);
+        assert_eq!(upto, 3);
+        assert_eq!(log.tail(), 3);
     }
 
     #[test]

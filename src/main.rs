@@ -388,12 +388,13 @@ fn run_load_cli(args: &[String]) {
         );
         println!(
             "  replication: role {:?}, epoch {}, lag {} record(s), {} follower(s), \
-             {} shipped, {} ack timeout(s), ack degraded {} ({} entry(ies))",
+             {} shipped, {} retained, {} ack timeout(s), ack degraded {} ({} entry(ies))",
             stats.role,
             stats.epoch,
             stats.replication_lag_records,
             stats.repl_followers,
             stats.repl_records_shipped,
+            stats.repl_log_retained,
             stats.repl_ack_timeouts,
             if stats.repl_ack_degraded { "yes" } else { "no" },
             stats.repl_ack_degraded_entries,

@@ -3,9 +3,9 @@
 //! real daemons on real sockets, killed without farewell mid-load.
 
 use fisql_core::serve::{
-    request_promote, request_stats, run_failover, AckMode, ClientRequest, Connected,
-    FailoverConfig, KillPoint, Role, ServeClient, ServeSummary, Server, ServerHandle,
-    ServerResponse, SessionStore, StoreOptions,
+    request_promote, request_stats, run_failover, transcript_digest, AckMode, ClientRequest,
+    Connected, FailoverConfig, KillPoint, Role, ServeClient, ServeSummary, Server, ServerHandle,
+    ServerResponse, SessionStore, StoreOptions, SHIP_BATCH,
 };
 use fisql_core::ServeConfig;
 use std::net::SocketAddr;
@@ -357,9 +357,9 @@ fn follower_journal_matches_primary(tag: &str, late_join: bool) {
 }
 
 // ---------------------------------------------------------------------
-// Resync: a compacted-and-restarted primary renumbers its stream; the
-// follower must detect the lineage break and re-bootstrap, not silently
-// ack records it never applied.
+// Catch-up: a compacted-and-restarted primary renumbers its stream; the
+// follower must detect the lineage break and be caught up from a
+// snapshot, not silently ack records it never applied.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -454,6 +454,177 @@ fn follower_resyncs_after_primary_compaction_and_restart() {
 
     stop(follower);
     stop(primary);
+    std::fs::remove_file(&p_store).ok();
+    std::fs::remove_file(&f_store).ok();
+}
+
+// ---------------------------------------------------------------------
+// The bounded window and snapshot catch-up.
+// ---------------------------------------------------------------------
+
+/// Waits until the primary has no un-acknowledged record and both
+/// stores hold the same number of ops.
+fn wait_converged(what: &str, primary: &Node, follower: &Node) {
+    wait_for(what, Duration::from_secs(10), || {
+        let p = request_stats(primary.addr.as_str());
+        let f = request_stats(follower.addr.as_str());
+        match (p, f) {
+            (Ok(p), Ok(f)) => p.replication_lag_records == 0 && p.store.ops == f.store.ops,
+            _ => false,
+        }
+    });
+}
+
+#[test]
+fn quorum_primary_retains_only_unacknowledged_records() {
+    let base = test_config()
+        .repl_ack(AckMode::Quorum)
+        .repl_ack_timeout_ms(5_000);
+    let (primary, follower, p_store, f_store) = boot_pair(&base, "bounded", false);
+    let corpus = fisql_spider::build_aep(&fisql_spider::AepConfig {
+        n_examples: base.n_examples,
+        seed: base.seed,
+    });
+    let p_log = &primary.handle.repl().log;
+    let f_log = &follower.handle.repl().log;
+
+    let sessions = 200;
+    let mut peak_retained = 0;
+    let mut last_shipped = p_log.shipped();
+    for i in 0..sessions {
+        let mut client = admitted(
+            ServeClient::connect_retry(primary.addr.as_str(), None, Duration::from_secs(10))
+                .expect("connect"),
+        );
+        client
+            .ask(&corpus.examples[i % corpus.examples.len()].question)
+            .expect("ask");
+        client.bye().expect("bye");
+        // Every response was released on the follower's ack, so the
+        // window holds at most what is still in flight.
+        peak_retained = peak_retained.max(p_log.retained());
+        assert_eq!(f_log.retained(), 0, "a follower's log keeps nothing");
+        let shipped = p_log.shipped();
+        assert!(shipped > last_shipped, "session {i} shipped nothing");
+        last_shipped = shipped;
+    }
+    wait_converged("replication to go quiet", &primary, &follower);
+
+    let ops = 3 * sessions as u64; // Opened, Ask, Closed
+    assert!(
+        p_log.shipped() >= ops,
+        "{} shipped for {ops} ops",
+        p_log.shipped()
+    );
+    assert!(
+        peak_retained <= 8,
+        "the primary retained {peak_retained} records mid-load; it should hold \
+         only the un-acknowledged tail"
+    );
+    let stats = request_stats(primary.addr.as_str()).expect("primary stats");
+    assert_eq!(
+        stats.repl_log_retained, 0,
+        "quiet replication retains nothing"
+    );
+    assert_eq!(p_log.retained(), 0);
+    assert_eq!(p_log.tail(), ops, "positions still count every op");
+    let stats = request_stats(follower.addr.as_str()).expect("follower stats");
+    assert_eq!(stats.repl_log_retained, 0);
+    assert!((stats.repl_log_retained as usize) <= SHIP_BATCH);
+
+    stop(follower);
+    stop(primary);
+    std::fs::remove_file(&p_store).ok();
+    std::fs::remove_file(&f_store).ok();
+}
+
+#[test]
+fn restarted_follower_catches_up_from_a_snapshot_past_the_trimmed_window() {
+    let base = test_config();
+    let (primary, follower, p_store, f_store) = boot_pair(&base, "snapshot", false);
+    let corpus = fisql_spider::build_aep(&fisql_spider::AepConfig {
+        n_examples: base.n_examples,
+        seed: base.seed,
+    });
+    // Sessions left open (the client drops without `Bye`) survive every
+    // compaction and must resume identically on the follower.
+    let mut unclosed = Vec::new();
+    let mut converse = |i: usize, close: bool| {
+        let mut client = admitted(
+            ServeClient::connect_retry(primary.addr.as_str(), None, Duration::from_secs(10))
+                .expect("connect"),
+        );
+        client
+            .ask(&corpus.examples[i % corpus.examples.len()].question)
+            .expect("ask");
+        client.feedback("we are in 2024", None).expect("feedback");
+        if close {
+            client.bye().expect("bye");
+        } else {
+            unclosed.push(client.session_id);
+        }
+    };
+    for i in 0..4 {
+        converse(i, i % 2 == 0);
+    }
+    wait_converged("replication to drain", &primary, &follower);
+    stop(follower);
+    let left_at = primary.handle.repl().log.tail();
+
+    // With no follower connected the primary keeps no records: the
+    // follower's position falls behind the window's base.
+    for i in 4..10 {
+        converse(i, i % 3 == 0);
+    }
+    let p_log = &primary.handle.repl().log;
+    assert_eq!(p_log.retained(), 0, "no followers, no records");
+    assert!(p_log.base() > left_at, "the window moved past the follower");
+
+    // Reboot the follower from its own store: it can only be caught up
+    // from a snapshot of the primary's image.
+    let repl = primary.repl_addr.expect("repl listener bound");
+    let follower = boot(
+        base.clone()
+            .store(&f_store)
+            .replica_of(repl.to_string())
+            .auto_promote(false),
+    );
+    wait_for("follower to re-attach", Duration::from_secs(10), || {
+        primary.handle.repl().log.followers() > 0
+    });
+    // The link ships again after the snapshot.
+    converse(10, false);
+    wait_converged("snapshot convergence", &primary, &follower);
+    let p_stats = request_stats(primary.addr.as_str()).expect("primary stats");
+    let f_stats = request_stats(follower.addr.as_str()).expect("follower stats");
+    assert_eq!(p_stats.store.ops, f_stats.store.ops);
+    assert_eq!(f_stats.repl_log_retained, 0);
+    assert_eq!(
+        follower.handle.repl().log.tail(),
+        primary.handle.repl().log.tail(),
+        "the follower resumed the stream at the primary's position"
+    );
+
+    // Every unclosed session resumes to the same transcript on both
+    // nodes: read the primary's, then promote the follower and read its.
+    let transcripts = |addr: &str| -> Vec<u64> {
+        unclosed
+            .iter()
+            .map(|&id| {
+                let mut client =
+                    admitted(ServeClient::connect(addr, Some(id)).expect("resume the session"));
+                transcript_digest(&client.transcript().expect("transcript"))
+            })
+            .collect()
+    };
+    let on_primary = transcripts(primary.addr.as_str());
+    stop(primary);
+    request_promote(follower.addr.as_str()).expect("promote the follower");
+    let on_follower = transcripts(follower.addr.as_str());
+    assert_eq!(unclosed.len(), 7);
+    assert_eq!(on_primary, on_follower, "resumed transcripts must match");
+
+    stop(follower);
     std::fs::remove_file(&p_store).ok();
     std::fs::remove_file(&f_store).ok();
 }

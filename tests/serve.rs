@@ -4,7 +4,7 @@
 //! against a real daemon on a real socket.
 
 use fisql_core::serve::{
-    request_compact, request_shutdown, request_stats, run_load, Connected, ServeClient,
+    request_compact, request_shutdown, request_stats, run_load, AckMode, Connected, ServeClient,
     ServeSummary, Server, ServerHandle, SessionStore, StoreOptions,
 };
 use fisql_core::{LoadConfig, ServeConfig, SessionEvent};
@@ -28,6 +28,36 @@ fn boot(config: ServeConfig) -> (String, ServerHandle, JoinHandle<ServeSummary>)
     let addr = handle.addr().to_string();
     let thread = std::thread::spawn(move || server.serve().expect("serve loop"));
     (addr, handle, thread)
+}
+
+/// A booted daemon: its address, shutdown handle, and serve thread.
+type Booted = (String, ServerHandle, JoinHandle<ServeSummary>);
+
+/// Boots a `--repl-ack quorum` primary and a follower of it (both
+/// memory-only, the follower never auto-promoting) and waits for the
+/// replication link.
+fn boot_quorum_pair() -> (Booted, Booted) {
+    let primary = Server::bind(
+        test_config()
+            .repl_listen("127.0.0.1:0")
+            .repl_ack(AckMode::Quorum),
+    )
+    .expect("bind primary");
+    let repl = primary.repl_addr().expect("repl listener bound");
+    let handle = primary.handle().expect("handle");
+    let addr = handle.addr().to_string();
+    let thread = std::thread::spawn(move || primary.serve().expect("serve loop"));
+    let follower = boot(
+        test_config()
+            .replica_of(repl.to_string())
+            .auto_promote(false),
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.repl().log.followers() == 0 {
+        assert!(Instant::now() < deadline, "the follower never attached");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    ((addr, handle, thread), follower)
 }
 
 fn stop(handle: &ServerHandle, thread: JoinHandle<ServeSummary>) -> ServeSummary {
@@ -319,6 +349,59 @@ fn shutdown_request_drains_the_daemon_gracefully() {
             assert_eq!(summary.final_active, 0, "{what}");
         }
     }
+
+    // With a follower connected, the primary's shipper sits blocked on
+    // the replication log and its ack reader in a blocking read: the
+    // stop must wake both. Then the follower, retrying a primary that is
+    // gone, must stop as promptly.
+    for how in [StopBy::Handle, StopBy::Abort, StopBy::AdminRequest] {
+        let ((p_addr, p_handle, p_thread), (_, f_handle, f_thread)) = boot_quorum_pair();
+        std::thread::sleep(Duration::from_millis(100));
+        match how {
+            StopBy::Handle => p_handle.shutdown(),
+            StopBy::Abort => p_handle.abort(),
+            StopBy::AdminRequest => assert!(request_shutdown(p_addr.as_str()).expect("shutdown")),
+        }
+        join_within_2s(p_thread, &format!("{how:?} on a primary with a follower"));
+        f_handle.shutdown();
+        join_within_2s(
+            f_thread,
+            &format!("the follower after {how:?} on its primary"),
+        );
+    }
+}
+
+#[test]
+fn quorum_asks_on_an_idle_pair_wait_on_the_ack_not_a_poll() {
+    // Each Ask is released only once the follower acknowledged its
+    // record: the round trip must cost a ship and an ack, not a poll
+    // interval on either side of the replication link.
+    let ((addr, handle, thread), (_, f_handle, f_thread)) = boot_quorum_pair();
+    let corpus = build_aep(&AepConfig {
+        n_examples: test_config().n_examples,
+        seed: test_config().seed,
+    });
+    let mut client = admitted(ServeClient::connect(addr.as_str(), None).expect("connect"));
+    let mut asks: Vec<Duration> = (0..20)
+        .map(|i| {
+            let started = Instant::now();
+            client
+                .ask(&corpus.examples[i % corpus.examples.len()].question)
+                .expect("ask");
+            started.elapsed()
+        })
+        .collect();
+    client.bye().expect("bye");
+    asks.sort();
+    let median = asks[asks.len() / 2];
+    assert!(
+        median < Duration::from_millis(5),
+        "median quorum Ask round trip {median:?} (all: {asks:?})"
+    );
+    let stats = request_stats(addr.as_str()).expect("stats");
+    assert_eq!(stats.repl_ack_timeouts, 0, "every Ask was acknowledged");
+    stop(&handle, thread);
+    stop(&f_handle, f_thread);
 }
 
 #[test]
